@@ -12,11 +12,11 @@ Two families of implicit contract span this codebase's layers:
   package's ASTs and holds every literal against the catalogue in
   both directions.
 
-* **Engine names** — the shard workers, the serve engine pool, the
-  CLI ``--engine`` choices, and the resilience fallback chain each
-  keep their own name registry.  The PR 7 fallback mis-scoring bug
-  was exactly this drift class; :func:`check_engine_registries` makes
-  it a CI failure.
+* **Engine fault sites** — every layer names its engines from the one
+  table :data:`repro.engines.ENGINES`, but the fallback chain's
+  ``engine.<name>.fail`` fault sites are catalogued separately.
+  :func:`check_engine_registries` holds the chain's engine names
+  against the catalogued sites in both directions.
 
 Both run in ``python -m repro analyze --contracts`` (and as part of
 ``--all``); they are pure-Python fast, no netlists involved.
@@ -24,11 +24,10 @@ Both run in ``python -m repro analyze --contracts`` (and as part of
 
 from __future__ import annotations
 
-import argparse
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .report import Diagnostic, Report, Severity
 
@@ -36,8 +35,6 @@ __all__ = [
     "FaultSiteUse",
     "collect_fault_site_uses",
     "check_fault_sites",
-    "RegistrySnapshot",
-    "registry_snapshot",
     "check_engine_registries",
     "analyze_contracts",
 ]
@@ -134,110 +131,36 @@ def check_fault_sites(paths: Sequence[Path] | None = None,
     return rep
 
 
-@dataclass(frozen=True)
-class RegistrySnapshot:
-    """The engine-name registries of every layer, side by side."""
-
-    shard_engines: tuple[str, ...]       #: shard.worker.SHARD_ENGINES
-    shardable_engines: tuple[str, ...]   #: serve SHARDABLE_ENGINES
-    serve_engines: tuple[str, ...]       #: serve engine_pool.ENGINES
-    cli_engine_choices: tuple[str, ...]  #: serve --engine choices
-    chain: tuple[str, ...]               #: fallback.DEFAULT_CHAIN
-    resilience_engines: tuple[str, ...]  #: fallback.RESILIENCE_ENGINES
-    engine_fault_sites: tuple[str, ...]  #: faults engine.<n>.fail names
-
-
-def registry_snapshot() -> RegistrySnapshot:
-    """Collect the live registries (imports the real modules)."""
-    from ..cli import build_parser
-    from ..resilience.fallback import DEFAULT_CHAIN, RESILIENCE_ENGINES
-    from ..resilience.faults import engine_fault_sites
-    from ..serve.engine_pool import ENGINES, SHARDABLE_ENGINES
-    from ..shard.worker import SHARD_ENGINES
-
-    parser = build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    serve = sub.choices["serve"]
-    engine_arg = next(a for a in serve._actions
-                      if "--engine" in a.option_strings)
-    return RegistrySnapshot(
-        shard_engines=tuple(sorted(SHARD_ENGINES)),
-        shardable_engines=tuple(SHARDABLE_ENGINES),
-        serve_engines=tuple(ENGINES),
-        cli_engine_choices=tuple(engine_arg.choices or ()),
-        chain=tuple(DEFAULT_CHAIN),
-        resilience_engines=tuple(RESILIENCE_ENGINES),
-        engine_fault_sites=tuple(sorted(engine_fault_sites())),
-    )
-
-
-def check_engine_registries(snap: RegistrySnapshot | None = None,
+def check_engine_registries(chain: Sequence[str] | None = None,
+                            sites: Iterable[str] | None = None,
                             ) -> Report:
-    """Hold every engine-name registry against its neighbours."""
-    if snap is None:
-        snap = registry_snapshot()
+    """Fallback-chain engines and catalogued ``engine.<name>.fail``
+    sites must name the same engines, in both directions."""
+    if chain is None:
+        from ..engines import DEFAULT_CHAIN
+
+        chain = DEFAULT_CHAIN
+    if sites is None:
+        from ..resilience.faults import engine_fault_sites
+
+        sites = engine_fault_sites()
+    chain_sites = {f"engine.{name}.fail" for name in chain}
+    catalogued = {f"engine.{name}.fail" for name in sites}
+    ok = chain_sites == catalogued
+    if ok:
+        message = (f"one engine.<name>.fail site per chain engine "
+                   f"({sorted(chain_sites)})")
+    else:
+        message = (f"chain engines imply fault sites "
+                   f"{sorted(chain_sites)} but the catalogue has "
+                   f"{sorted(catalogued)} — the chaos suite cannot fail "
+                   f"every chain engine (or names one that left the "
+                   f"chain)")
     rep = Report()
-
-    def verdict(rule: str, ok: bool, subject: str, bad: str,
-                good: str) -> None:
-        rep.add(Diagnostic(
-            rule=rule,
-            severity=Severity.NOTE if ok else Severity.ERROR,
-            subject=subject, message=good if ok else bad))
-
-    verdict(
-        "contract.shard-engines",
-        set(snap.shard_engines) == set(snap.shardable_engines),
-        "shard.worker.SHARD_ENGINES",
-        f"shard workers accept {sorted(snap.shard_engines)} but serve "
-        f"marks {sorted(snap.shardable_engines)} shardable — a "
-        f"--shard-workers deployment would dispatch an engine the "
-        f"worker rejects",
-        f"matches serve.SHARDABLE_ENGINES "
-        f"({sorted(snap.shardable_engines)})")
-    verdict(
-        "contract.shardable-subset",
-        set(snap.shardable_engines) <= set(snap.serve_engines),
-        "serve.engine_pool.SHARDABLE_ENGINES",
-        f"shardable engines {sorted(snap.shardable_engines)} are not "
-        f"all in the serve pool {sorted(snap.serve_engines)}",
-        f"subset of the serve pool ({sorted(snap.serve_engines)})")
-    expected_cli = set(snap.serve_engines) | {"resilient"}
-    verdict(
-        "contract.cli-engines",
-        set(snap.cli_engine_choices) == expected_cli,
-        "cli serve --engine",
-        f"CLI offers {sorted(snap.cli_engine_choices)} but the pool "
-        f"plus the fallback pseudo-engine is {sorted(expected_cli)} — "
-        f"an engine is unreachable or the CLI promises one that "
-        f"cannot be built",
-        f"offers exactly the pool plus 'resilient' "
-        f"({sorted(expected_cli)})")
-    verdict(
-        "contract.fallback-chain",
-        snap.chain == snap.resilience_engines,
-        "resilience.fallback.DEFAULT_CHAIN",
-        f"DEFAULT_CHAIN {list(snap.chain)} is not "
-        f"RESILIENCE_ENGINES in declaration order "
-        f"{list(snap.resilience_engines)} — the demotion order no "
-        f"longer matches the documented fastest-first registry",
-        f"equals RESILIENCE_ENGINES in declaration order "
-        f"({list(snap.chain)})")
-    chain_sites = {f"engine.{name}.fail"
-                   for name in snap.resilience_engines}
-    catalogued = {f"engine.{name}.fail"
-                  for name in snap.engine_fault_sites}
-    verdict(
-        "contract.engine-fault-sites",
-        chain_sites == catalogued,
-        "resilience.faults engine.*.fail",
-        f"chain engines imply fault sites {sorted(chain_sites)} but "
-        f"the catalogue has {sorted(catalogued)} — the chaos suite "
-        f"cannot fail every chain engine (or names one that left the "
-        f"chain)",
-        f"one engine.<name>.fail site per chain engine "
-        f"({sorted(snap.engine_fault_sites)})")
+    rep.add(Diagnostic(
+        rule="contract.engine-fault-sites",
+        severity=Severity.NOTE if ok else Severity.ERROR,
+        subject="resilience.faults engine.*.fail", message=message))
     return rep
 
 

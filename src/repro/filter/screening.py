@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.encoding import (decode, encode_batch_bit_transposed,
-                             encode_batch_char_planes)
-from ..core.sw_bpbc import bpbc_sw_wavefront, bpbc_sw_wavefront_planes
+from ..core.encoding import decode
+from ..engines import score_bpbc
 from ..swa.affine import AffineScheme
 from ..swa.scoring import DEFAULT_SCHEME, ScoringScheme
 from ..swa.sequential import sw_matrix
@@ -129,31 +128,7 @@ def bulk_max_scores(X: np.ndarray, Y: np.ndarray,
             scores[start:stop] = bulk_max_scores(
                 X[start:stop], Y[start:stop], scheme, word_bits)
         return scores
-    if callable(getattr(scheme, "weights_key", None)):
-        # Protein scheme: eps-bit character planes, substitution cell;
-        # the affine variant routes to the Gotoh engine.
-        eps = scheme.alphabet.pad_bits
-        Xp = encode_batch_char_planes(X, word_bits, char_bits=eps)
-        Yp = encode_batch_char_planes(Y, word_bits, char_bits=eps)
-        if scheme.is_affine:
-            from ..core.affine_bpbc import bpbc_gotoh_wavefront_planes
-
-            result = bpbc_gotoh_wavefront_planes(Xp, Yp, scheme,
-                                                 word_bits)
-        else:
-            result = bpbc_sw_wavefront_planes(Xp, Yp, scheme, word_bits)
-        return result.max_scores[:P]
-    if isinstance(scheme, AffineScheme):
-        from ..core.affine_bpbc import bpbc_gotoh_wavefront_planes
-
-        Xp = encode_batch_char_planes(X, word_bits, char_bits=2)
-        Yp = encode_batch_char_planes(Y, word_bits, char_bits=2)
-        result = bpbc_gotoh_wavefront_planes(Xp, Yp, scheme, word_bits)
-        return result.max_scores[:P]
-    XH, XL = encode_batch_bit_transposed(X, word_bits)
-    YH, YL = encode_batch_bit_transposed(Y, word_bits)
-    result = bpbc_sw_wavefront(XH, XL, YH, YL, scheme, word_bits)
-    return result.max_scores[:P]
+    return score_bpbc(X, Y, scheme, word_bits)
 
 
 def screen_pairs(X: np.ndarray, Y: np.ndarray, threshold: int,

@@ -1,9 +1,7 @@
 """Streaming FASTA reading/writing for the index subsystem.
 
-This is the canonical FASTA implementation of the repo
-(:mod:`repro.workloads.fasta` re-exports it for compatibility).  It
-covers what a billion-character index build needs and what the old
-parser lacked:
+This is the FASTA implementation of the repo.  It covers what a
+billion-character index build needs and what the old parser lacked:
 
 * **streaming**: :func:`iter_fasta` yields records one at a time, so
   building an index over a database far larger than RAM never holds

@@ -9,7 +9,7 @@ Two halves of one discipline:
 * **Survive it** — :class:`RetryPolicy` (exponential backoff, full
   jitter, deadline-aware), :class:`CircuitBreaker` (per engine),
   :class:`EngineFallbackChain` (compiled-c → compiled-numpy →
-  interpreted bpbc → numpy SWA, each gated by a known-answer
+  interpreted generic → numpy SWA, each gated by a known-answer
   self-test), and the partial-result recovery of
   :mod:`repro.resilience.recovery` that rescues failed shards instead
   of aborting batches.
@@ -54,7 +54,6 @@ __all__ = [
     "BulkRecoveryError",
     # lazy (see __getattr__):
     "EngineFallbackChain",
-    "RESILIENCE_ENGINES",
     "DEFAULT_CHAIN",
     "default_chain",
     "recover_failures",
@@ -64,7 +63,6 @@ __all__ = [
 
 _LAZY = {
     "EngineFallbackChain": "fallback",
-    "RESILIENCE_ENGINES": "fallback",
     "DEFAULT_CHAIN": "fallback",
     "default_chain": "fallback",
     "recover_failures": "recovery",

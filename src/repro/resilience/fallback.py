@@ -1,12 +1,13 @@
 """Engine fallback chain: four bit-identical engines, one answer.
 
-The repo ships four independent implementations of the same batch
-scoring contract ``(X, Y, scheme, word_bits) -> (P,) max scores``:
+The chain engines of :data:`repro.engines.ENGINES` are independent
+implementations of the same batch scoring contract
+``(X, Y, scheme, word_bits) -> (P,) max scores``:
 
 1. ``compiled-c`` — the BPBC wavefront with the native fused step
    (:mod:`repro.jit.cbackend`; needs a system C toolchain),
 2. ``compiled-numpy`` — the same circuit lowered to generated NumPy,
-3. ``bpbc`` — the paper-literal interpreted circuit evaluator,
+3. ``generic`` — the paper-literal interpreted circuit evaluator,
 4. ``numpy`` — the wordwise NumPy Smith-Waterman baseline.
 
 They are bit-identical by construction and pinned so by the
@@ -31,61 +32,13 @@ import threading
 
 import numpy as np
 
+from ..engines import DEFAULT_CHAIN, ENGINES
 from ..swa.scoring import DEFAULT_SCHEME, ScoringScheme
 from .breaker import CircuitBreaker
 from .errors import FallbackExhaustedError, SelfTestError
-from .faults import fault_point
 
-__all__ = ["DEFAULT_CHAIN", "RESILIENCE_ENGINES", "KAT_EXPECTED",
-           "EngineFallbackChain", "engine_available", "default_chain"]
-
-
-def _score_wavefront(X, Y, scheme, word_bits, cell):
-    """One rectangular (possibly sentinel-padded) batch through the
-    BPBC wavefront with a pinned cell evaluator — the same dispatch as
-    the shard workers and serve engines."""
-    from ..shard.worker import _score_bpbc
-
-    return _score_bpbc(np.asarray(X, dtype=np.uint8),
-                       np.asarray(Y, dtype=np.uint8),
-                       scheme, word_bits, cell=cell)
-
-
-def _engine_compiled_c(X, Y, scheme, word_bits):
-    fault_point("engine.compiled-c.fail")
-    return _score_wavefront(X, Y, scheme, word_bits, "compiled-c")
-
-
-def _engine_compiled_numpy(X, Y, scheme, word_bits):
-    fault_point("engine.compiled-numpy.fail")
-    return _score_wavefront(X, Y, scheme, word_bits, "compiled-numpy")
-
-
-def _engine_bpbc(X, Y, scheme, word_bits):
-    fault_point("engine.bpbc.fail")
-    return _score_wavefront(X, Y, scheme, word_bits, "generic")
-
-
-def _engine_numpy(X, Y, scheme, word_bits):
-    fault_point("engine.numpy.fail")
-    from ..shard.worker import _score_numpy
-
-    return _score_numpy(np.asarray(X, dtype=np.uint8),
-                        np.asarray(Y, dtype=np.uint8), scheme,
-                        word_bits)
-
-
-#: Chain engines, fastest first — exactly the demotion order.
-RESILIENCE_ENGINES = {
-    "compiled-c": _engine_compiled_c,
-    "compiled-numpy": _engine_compiled_numpy,
-    "bpbc": _engine_bpbc,
-    "numpy": _engine_numpy,
-}
-
-#: Default demotion order: native -> generated NumPy -> interpreted
-#: circuit -> wordwise SWA.
-DEFAULT_CHAIN = ("compiled-c", "compiled-numpy", "bpbc", "numpy")
+__all__ = ["DEFAULT_CHAIN", "KAT_EXPECTED", "EngineFallbackChain",
+           "engine_available", "default_chain"]
 
 
 # -- known-answer self-test --------------------------------------------
@@ -131,8 +84,8 @@ def run_self_test(name: str, word_bits: int = 64) -> None:
     this is the startup gate that keeps a miscompiled or corrupted
     backend out of the fallback rotation.
     """
-    fn = RESILIENCE_ENGINES[name]
-    got = np.asarray(fn(KAT_X, KAT_Y, DEFAULT_SCHEME, word_bits))
+    got = np.asarray(ENGINES[name].chain(KAT_X, KAT_Y, DEFAULT_SCHEME,
+                                         word_bits))
     expected = np.asarray(KAT_EXPECTED, dtype=got.dtype)
     if got.shape != expected.shape or not np.array_equal(got, expected):
         raise SelfTestError(name, KAT_EXPECTED, got.reshape(-1))
@@ -144,11 +97,11 @@ class EngineFallbackChain:
     Parameters
     ----------
     engines:
-        Ordered engine names from :data:`RESILIENCE_ENGINES` (default
-        :data:`DEFAULT_CHAIN`).  At construction each engine runs the
-        known-answer self-test; engines that cannot run at all (e.g.
-        ``compiled-c`` without a C toolchain) are dropped, and engines
-        that run but score *wrong* raise :class:`SelfTestError`.
+        Ordered chain-engine names of :data:`repro.engines.ENGINES`
+        (default :data:`DEFAULT_CHAIN`).  At construction each engine
+        runs the known-answer self-test; engines that cannot run at all
+        (e.g. ``compiled-c`` without a C toolchain) are dropped, and
+        engines that run but score *wrong* raise :class:`SelfTestError`.
     failure_threshold / reset_after_s:
         Per-engine :class:`CircuitBreaker` tuning.
     word_bits:
@@ -168,10 +121,10 @@ class EngineFallbackChain:
                  word_bits: int = 64,
                  self_test: bool = True) -> None:
         for name in engines:
-            if name not in RESILIENCE_ENGINES:
+            if name not in DEFAULT_CHAIN:
                 raise ValueError(
                     f"unknown resilience engine {name!r}; expected a "
-                    f"subset of {sorted(RESILIENCE_ENGINES)}"
+                    f"subset of {list(DEFAULT_CHAIN)}"
                 )
         if not engines:
             raise ValueError("engine chain must not be empty")
@@ -235,8 +188,7 @@ class EngineFallbackChain:
                 attempts[name] = "breaker-open"
                 continue
             try:
-                scores = RESILIENCE_ENGINES[name](X, Y, scheme,
-                                                  word_bits)
+                scores = ENGINES[name].chain(X, Y, scheme, word_bits)
             except Exception as exc:  # noqa: BLE001 - demote and go on
                 breaker.record_failure()
                 attempts[name] = exc

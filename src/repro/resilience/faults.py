@@ -90,9 +90,9 @@ SITES: dict[str, str] = {
     "engine.compiled-numpy.fail":
         "the resilience chain's compiled-numpy engine raises on a "
         "batch",
-    "engine.bpbc.fail":
-        "the resilience chain's interpreted bpbc engine raises on a "
-        "batch",
+    "engine.generic.fail":
+        "the resilience chain's interpreted generic engine raises on "
+        "a batch",
     "engine.numpy.fail":
         "the resilience chain's numpy SWA engine raises on a batch",
     "index.shard.open":
@@ -365,7 +365,8 @@ def engine_fault_sites() -> dict[str, str]:
     Parsed from :data:`SITES`, so it is the catalogue's own statement
     of which engines the chaos suite can fail — the contract lint
     (:mod:`repro.analyze.contracts`) holds it against
-    ``fallback.RESILIENCE_ENGINES`` in both directions.
+    the chain engines of :data:`repro.engines.ENGINES` in both
+    directions.
     """
     prefix, suffix = "engine.", ".fail"
     return {

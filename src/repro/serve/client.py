@@ -247,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point: stream pairs to a server, print TSV scores."""
-    from ..workloads.fasta import read_fasta
+    from ..index.fasta import read_fasta
 
     args = _build_parser().parse_args(argv)
     queries = read_fasta(args.queries, ambiguous=args.ambiguous,

@@ -10,11 +10,11 @@ heterogeneous requests into as few engine calls as possible:
    positions, so DP-cell waste stays bounded by the caller's choice of
    ``g``; across bins nothing is padded at all.  ``g = 1`` means exact
    shapes only (no character padding ever).
-2. **Packing** — each bin becomes one :class:`PackedBatch` whose
-   ``(P, m)`` / ``(P, n)`` code matrices convert to bit-transposed
-   lanes via the existing
-   :func:`repro.core.encoding.encode_batch_bit_transposed` (uniform
-   bins) or sentinel-padded character planes (mixed-length bins).
+2. **Packing** — each bin becomes one :class:`PackedBatch` of
+   ``(P, m)`` / ``(P, n)`` code matrices, sentinel-padded in
+   mixed-length bins.  The engine's scheme dispatch
+   (:func:`repro.engines.score_bpbc`) encodes them: bit-transposed
+   2-bit lanes for unpadded DNA, character planes otherwise.
 
 Sentinel padding is what keeps mixed-length bins *exact*: queries are
 padded with code 4 and subjects with code 5 — two symbols outside the
@@ -40,9 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.encoding import (PAD_BITS, QUERY_PAD, SUBJECT_PAD,
-                             encode_batch_bit_transposed,
-                             encode_batch_char_planes)
+from ..core.encoding import PAD_BITS, QUERY_PAD, SUBJECT_PAD
 from ..swa.scoring import ScoringScheme
 from .queue import AlignmentRequest
 
@@ -77,10 +75,8 @@ class PackedBatch:
     Y: np.ndarray
     scheme: ScoringScheme
     padded: bool
-    #: Optional dispatch hints set by the adaptive scheduler: a named
-    #: bit-identical engine to score this batch on, and a shard
-    #: fan-out cap.  ``None`` = the pool's configured behaviour.
-    engine_hint: str | None = None
+    #: Shard fan-out cap set by the adaptive scheduler.  ``None`` = the
+    #: pool's configured width.
     shard_width_hint: int | None = None
 
     @property
@@ -102,39 +98,6 @@ class PackedBatch:
     def lane_occupancy(self, word_bits: int) -> float:
         """Useful fraction of consumed lane bits (1.0 = no waste)."""
         return self.pairs / self.lane_slots(word_bits)
-
-    def bit_planes(self, word_bits: int):
-        """DNA ``(H, L)`` planes for both sides (uniform bins only).
-
-        Returns ``(XH, XL, YH, YL)`` straight from
-        :func:`encode_batch_bit_transposed`; raises on sentinel-padded
-        batches, whose codes exceed the 2-bit alphabet, and on schemes
-        whose alphabet is wider than 2 bits (protein).
-        """
-        if self.padded:
-            raise ValueError(
-                "sentinel-padded batch has 3-bit codes; use char_planes"
-            )
-        if getattr(self.scheme, "alphabet", None) is not None:
-            raise ValueError(
-                f"{type(self.scheme).__name__} codes exceed the 2-bit "
-                "DNA alphabet; use char_planes"
-            )
-        XH, XL = encode_batch_bit_transposed(self.X, word_bits)
-        YH, YL = encode_batch_bit_transposed(self.Y, word_bits)
-        return XH, XL, YH, YL
-
-    def char_planes(self, word_bits: int):
-        """``(eps, len, lanes)`` character planes for both sides.
-
-        ``eps`` is the scheme alphabet's pad width (5 for protein) or
-        the DNA sentinel width 3.
-        """
-        _, _, char_bits = scheme_pads(self.scheme)
-        return (encode_batch_char_planes(self.X, word_bits,
-                                         char_bits=char_bits),
-                encode_batch_char_planes(self.Y, word_bits,
-                                         char_bits=char_bits))
 
 
 def bin_key(request: AlignmentRequest,

@@ -36,14 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engines import resolve_score
 from ..resilience import faults as _faults
 from ..swa.scoring import DEFAULT_SCHEME, ScoringScheme
 from .errors import ShardError
 from .partition import pair_costs, partition_lpt
 from .shm import MIN_SHM_BYTES, ShmArena, shm_available
 from .worker import (as_contiguous_u8, init_worker, pack_shard,
-                     resolve_shard_engine, run_shard, run_shard_shm,
-                     score_shard)
+                     run_shard, run_shard_shm, score_shard)
 
 __all__ = ["ShardTiming", "ShardRunResult", "ShardExecutor",
            "shard_bulk_max_scores", "default_workers", "TRANSPORTS"]
@@ -147,8 +147,8 @@ class ShardExecutor:
         Process count (default: the machine's usable CPUs).  ``1``
         runs in-process with no pool at all.
     engine:
-        ``"bpbc"`` (default), ``"numpy"``, or a picklable callable
-        ``(X, Y, scheme, word_bits) -> scores``.
+        A :data:`repro.engines.ENGINES` name (default ``"bpbc"``) or
+        a picklable callable ``(X, Y, scheme, word_bits) -> scores``.
     word_bits:
         Lane word width for the BPBC engine.
     timeout_s:
@@ -213,7 +213,7 @@ class ShardExecutor:
         self.bin_granularity = bin_granularity
         self.transport = transport
         self.shm_min_bytes = shm_min_bytes
-        self._engine_fn = resolve_shard_engine(engine)  # fail fast
+        self._engine_fn = resolve_score(engine)  # fail fast
         self._engine_spec = engine
         self._requested_workers = workers
         self._ctx = _make_context(start_method) if workers > 1 else None

@@ -1,7 +1,6 @@
 """Synthetic DNA workload generation."""
 
 from .datasets import PairBatch, paper_workload, sweep_workloads
-from .fasta import FastaRecord, read_fasta, records_to_batch, write_fasta
 from .dna import (MutationModel, homologous_pairs, mutate, plant_homology,
                   random_strand, random_strands)
 from .traffic import TimedRequest, poisson_arrivals, request_stream
@@ -10,6 +9,5 @@ __all__ = [
     "random_strands", "random_strand", "MutationModel", "mutate",
     "plant_homology", "homologous_pairs",
     "PairBatch", "paper_workload", "sweep_workloads",
-    "FastaRecord", "read_fasta", "write_fasta", "records_to_batch",
     "TimedRequest", "poisson_arrivals", "request_stream",
 ]

@@ -5,31 +5,17 @@ from __future__ import annotations
 import textwrap
 
 from repro.analyze import Severity
-from repro.analyze.contracts import (RegistrySnapshot, analyze_contracts,
+from repro.analyze.contracts import (analyze_contracts,
                                      check_engine_registries,
                                      check_fault_sites,
-                                     collect_fault_site_uses,
-                                     registry_snapshot)
+                                     collect_fault_site_uses)
+from repro.cli import build_parser
+from repro.engines import ENGINES
 
 
 def _rules(rep, severity=None):
     return [d.rule for d in rep.diagnostics
             if severity is None or d.severity is severity]
-
-
-def _snap(**overrides) -> RegistrySnapshot:
-    """A self-consistent snapshot; overrides introduce drift."""
-    base = dict(
-        shard_engines=("a", "b"),
-        shardable_engines=("a", "b"),
-        serve_engines=("a", "b", "c"),
-        cli_engine_choices=("a", "b", "c", "resilient"),
-        chain=("a", "b"),
-        resilience_engines=("a", "b"),
-        engine_fault_sites=("a", "b"),
-    )
-    base.update(overrides)
-    return RegistrySnapshot(**base)
 
 
 class TestLiveRepo:
@@ -45,39 +31,25 @@ class TestLiveRepo:
         assert any("agree in both directions" in m for m in msgs)
 
     def test_snapshot_reflects_the_cli(self):
-        snap = registry_snapshot()
-        assert "resilient" in snap.cli_engine_choices
-        assert set(snap.shard_engines) == set(snap.shardable_engines)
-        assert snap.chain == snap.resilience_engines
+        sub = build_parser()._subparsers._group_actions[0]
+        engine = next(a for a in sub.choices["serve"]._actions
+                      if "--engine" in a.option_strings)
+        assert tuple(engine.choices) == (*ENGINES, "resilient")
 
 
 class TestRegistryDrift:
     def test_consistent_snapshot_is_all_notes(self):
-        rep = check_engine_registries(_snap())
+        rep = check_engine_registries(("a", "b"), ("b", "a"))
         assert rep.ok, rep.render()
-        assert len(rep.diagnostics) == 5
-
-    def test_shard_serve_drift(self):
-        rep = check_engine_registries(_snap(shard_engines=("a",)))
-        assert "contract.shard-engines" in _rules(rep, Severity.ERROR)
-
-    def test_shardable_outside_pool(self):
-        rep = check_engine_registries(
-            _snap(shardable_engines=("a", "b", "ghost"),
-                  shard_engines=("a", "b", "ghost")))
-        assert "contract.shardable-subset" in _rules(rep, Severity.ERROR)
-
-    def test_cli_missing_engine(self):
-        rep = check_engine_registries(
-            _snap(cli_engine_choices=("a", "b", "resilient")))
-        assert "contract.cli-engines" in _rules(rep, Severity.ERROR)
-
-    def test_chain_order_drift(self):
-        rep = check_engine_registries(_snap(chain=("b", "a")))
-        assert "contract.fallback-chain" in _rules(rep, Severity.ERROR)
+        assert len(rep.diagnostics) == 1
 
     def test_missing_engine_fault_site(self):
-        rep = check_engine_registries(_snap(engine_fault_sites=("a",)))
+        rep = check_engine_registries(("a", "b"), ("a",))
+        assert "contract.engine-fault-sites" in _rules(rep,
+                                                       Severity.ERROR)
+
+    def test_catalogued_site_outside_the_chain(self):
+        rep = check_engine_registries(("a",), ("a", "ghost"))
         assert "contract.engine-fault-sites" in _rules(rep,
                                                        Severity.ERROR)
 

@@ -7,13 +7,16 @@ typed :class:`FallbackExhaustedError` — never a silent wrong score.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.resilience.fallback as fallback
+from repro.engines import ENGINES
 from repro.resilience.errors import (FallbackExhaustedError,
                                      SelfTestError)
 from repro.resilience.fallback import (KAT_EXPECTED, KAT_X, KAT_Y,
-                                       RESILIENCE_ENGINES,
                                        EngineFallbackChain,
                                        engine_available)
 from repro.resilience.faults import FaultPlan, InjectedFault
@@ -43,9 +46,9 @@ class TestKnownAnswerTest:
         assert tuple(int(v) for v in ref) == KAT_EXPECTED
 
     def test_interpreted_engines_always_pass(self):
-        # bpbc and numpy have no toolchain dependency: on every
+        # generic and numpy have no toolchain dependency: on every
         # machine the chain must keep at least these two engines.
-        assert engine_available("bpbc")
+        assert engine_available("generic")
         assert engine_available("numpy")
 
     def test_wrong_engine_raises_loudly(self, monkeypatch):
@@ -54,29 +57,31 @@ class TestKnownAnswerTest:
         def off_by_one(X, Y, scheme, word_bits):
             return sw_batch_max_scores(X, Y, scheme) + 1
 
-        monkeypatch.setitem(RESILIENCE_ENGINES, "numpy", off_by_one)
+        wrong = dataclasses.replace(ENGINES["numpy"], chain=off_by_one)
+        monkeypatch.setattr(fallback, "ENGINES",
+                            {**ENGINES, "numpy": wrong})
         with pytest.raises(SelfTestError) as excinfo:
             engine_available("numpy")
         assert excinfo.value.engine == "numpy"
         assert excinfo.value.expected == KAT_EXPECTED
 
     def test_construction_under_fault_drops_and_reports(self):
-        with FaultPlan.single("engine.bpbc.fail"):
-            chain = EngineFallbackChain(engines=("bpbc", "numpy"))
+        with FaultPlan.single("engine.generic.fail"):
+            chain = EngineFallbackChain(engines=("generic", "numpy"))
         assert chain.engines == ("numpy",)
-        assert "bpbc" in chain.dropped
-        assert chain.states()["bpbc"]["state"] == "dropped"
+        assert "generic" in chain.dropped
+        assert chain.states()["generic"]["state"] == "dropped"
 
     def test_no_surviving_engine_raises_typed(self):
-        plan = FaultPlan([{"site": "engine.bpbc.fail"},
+        plan = FaultPlan([{"site": "engine.generic.fail"},
                           {"site": "engine.numpy.fail"}])
         with plan:
             with pytest.raises(FallbackExhaustedError):
-                EngineFallbackChain(engines=("bpbc", "numpy"))
+                EngineFallbackChain(engines=("generic", "numpy"))
 
     def test_chain_validation(self):
         with pytest.raises(ValueError, match="unknown resilience"):
-            EngineFallbackChain(engines=("bpbc", "turbo"))
+            EngineFallbackChain(engines=("generic", "turbo"))
         with pytest.raises(ValueError, match="must not be empty"):
             EngineFallbackChain(engines=())
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.encoding import QUERY_PAD, SUBJECT_PAD
 from repro.filter.screening import bulk_max_scores, screen_pairs
+from repro.swa.affine import AffineScheme, gotoh_batch_max_scores
+from repro.swa.numpy_batch import sw_batch_max_scores
 from repro.swa.scoring import ScoringScheme
 from repro.swa.sequential import sw_max_score
 from repro.workloads.dna import MutationModel, homologous_pairs
@@ -26,6 +29,27 @@ class TestBulkMaxScores:
         X = rng.integers(0, 4, (3, 5), dtype=np.uint8)
         Y = rng.integers(0, 4, (3, 9), dtype=np.uint8)
         assert len(bulk_max_scores(X, Y, SCHEME)) == 3
+
+    @pytest.mark.parametrize("scheme", [ScoringScheme(2, 1, 1),
+                                        AffineScheme(2, 1, 3, 1)],
+                             ids=["linear", "affine"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_sentinel_padded_dna_matches_wordwise(self, rng, workers,
+                                                  scheme):
+        # Ragged pairs packed into one rectangle with the sentinel pad
+        # codes: in process and sharded, bulk scoring must take the
+        # sentinel-aware planes and equal the wordwise engine.
+        X = rng.integers(0, 4, (24, 10), dtype=np.uint8)
+        Y = rng.integers(0, 4, (24, 16), dtype=np.uint8)
+        for p in range(0, 24, 3):
+            X[p, 4 + p % 5:] = QUERY_PAD
+            Y[p, 7 + p % 7:] = SUBJECT_PAD
+        wordwise = (gotoh_batch_max_scores
+                    if isinstance(scheme, AffineScheme)
+                    else sw_batch_max_scores)
+        np.testing.assert_array_equal(
+            bulk_max_scores(X, Y, scheme, workers=workers),
+            wordwise(X, Y, scheme))
 
     def test_shape_validation(self, rng):
         with pytest.raises(ValueError):

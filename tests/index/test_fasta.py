@@ -1,11 +1,9 @@
-"""Tests for repro.index.fasta: streaming + ambiguous-base policy.
-
-(The strict-mode basics are additionally covered through the
-compatibility shim by tests/workloads/test_fasta.py.)
-"""
+"""Tests for repro.index.fasta: strict-mode basics, streaming and the
+ambiguous-base policy."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.index.fasta import (
@@ -14,6 +12,7 @@ from repro.index.fasta import (
     FastaRecord,
     iter_fasta,
     read_fasta,
+    records_to_batch,
     write_fasta,
 )
 
@@ -129,3 +128,104 @@ class TestRoundTrip:
         p = tmp_path / "out.fa"
         write_fasta(p, recs, width=13)
         assert read_fasta(p) == recs
+
+
+@pytest.fixture
+def fasta_file(tmp_path):
+    p = tmp_path / "test.fa"
+    p.write_text(
+        ">seq1 first sequence\n"
+        "ACGTACGT\n"
+        "ACGT\n"
+        "\n"
+        ">seq2\n"
+        "ttttgggg\n"
+    )
+    return p
+
+
+class TestRead:
+    def test_records(self, fasta_file):
+        recs = read_fasta(fasta_file)
+        assert len(recs) == 2
+        assert recs[0].id == "seq1"
+        assert recs[0].description == "first sequence"
+        assert recs[0].sequence == "ACGTACGTACGT"  # folded lines joined
+        assert recs[1].id == "seq2"
+        assert recs[1].sequence == "TTTTGGGG"  # upper-cased
+
+    def test_codes(self, fasta_file):
+        recs = read_fasta(fasta_file)
+        assert recs[0].codes.tolist()[:4] == [0, 3, 2, 1]  # A C G T
+
+    def test_empty_file_rejected(self, tmp_path):
+        p = tmp_path / "empty.fa"
+        p.write_text("")
+        with pytest.raises(FastaError):
+            read_fasta(p)
+
+    def test_data_before_header_rejected(self, tmp_path):
+        p = tmp_path / "bad.fa"
+        p.write_text("ACGT\n>x\nACGT\n")
+        with pytest.raises(FastaError):
+            read_fasta(p)
+
+    def test_empty_header_rejected(self, tmp_path):
+        p = tmp_path / "bad.fa"
+        p.write_text(">\nACGT\n")
+        with pytest.raises(FastaError):
+            read_fasta(p)
+
+    def test_record_without_sequence_rejected(self, tmp_path):
+        p = tmp_path / "bad.fa"
+        p.write_text(">a\n>b\nACGT\n")
+        with pytest.raises(FastaError):
+            read_fasta(p)
+
+    def test_non_dna_rejected(self, tmp_path):
+        p = tmp_path / "bad.fa"
+        p.write_text(">a\nACGN\n")
+        with pytest.raises(FastaError) as exc:
+            read_fasta(p)
+        assert "N" in str(exc.value)
+
+
+class TestWrite:
+    def test_roundtrip(self, tmp_path):
+        recs = [FastaRecord("a", "desc", "ACGT" * 30),
+                FastaRecord("b", "", "TTTT")]
+        p = tmp_path / "out.fa"
+        write_fasta(p, recs, width=50)
+        back = read_fasta(p)
+        assert back == recs
+
+    def test_folding(self, tmp_path):
+        p = tmp_path / "out.fa"
+        write_fasta(p, [FastaRecord("a", "", "A" * 25)], width=10)
+        lines = p.read_text().splitlines()
+        assert lines[1:] == ["A" * 10, "A" * 10, "A" * 5]
+
+    def test_bad_width(self, tmp_path):
+        with pytest.raises(FastaError):
+            write_fasta(tmp_path / "x.fa",
+                        [FastaRecord("a", "", "A")], width=0)
+
+
+class TestBatch:
+    def test_stacks_equal_lengths(self):
+        recs = [FastaRecord("a", "", "ACGT"),
+                FastaRecord("b", "", "TTTT")]
+        batch = records_to_batch(recs)
+        assert batch.shape == (2, 4)
+        np.testing.assert_array_equal(batch[1], 1)
+
+    def test_unequal_lengths_rejected(self):
+        recs = [FastaRecord("a", "", "ACGT"),
+                FastaRecord("b", "", "AC")]
+        with pytest.raises(FastaError) as exc:
+            records_to_batch(recs)
+        assert "b" in str(exc.value)
+
+    def test_empty_rejected(self):
+        with pytest.raises(FastaError):
+            records_to_batch([])

@@ -4,8 +4,8 @@ The packer's correctness claim is sharp: sentinel padding (QUERY_PAD
 vs SUBJECT_PAD, matching nothing — not even each other) may only
 *lose* score, so the max over a padded matrix equals the max over the
 real prefix.  This module fuzzes that claim end to end — random
-mixed-length request batches, random bin granularities, both serve
-engines — against the unpadded per-pair gold DP.
+mixed-length request batches, random bin granularities, every engine
+of the table — against the unpadded per-pair gold DP.
 
 Seeded like :mod:`tests.test_differential_fuzz`: deterministic by
 default, rotated in CI via ``REPRO_FUZZ_SEED``.
@@ -20,7 +20,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from repro.serve.engine_pool import ENGINES
+from repro.engines import ENGINES
+from repro.serve.engine_pool import resolve_engine
 from repro.serve.packer import QUERY_PAD, SUBJECT_PAD, pack_requests
 from repro.serve.queue import AlignmentRequest
 from repro.swa.scoring import ScoringScheme
@@ -81,8 +82,8 @@ def test_packed_scores_match_unpadded_gold(index):
         gold = np.asarray(
             [sw_max_score(req.query, req.subject, batch.scheme)
              for req in batch.requests], dtype=np.int64)
-        for engine in ("bpbc", "bpbc-jit", "numpy"):
-            scores = np.asarray(ENGINES[engine](batch, WORD_BITS))
+        for engine in ENGINES:
+            scores = np.asarray(resolve_engine(engine)(batch, WORD_BITS))
             bad = np.flatnonzero(scores != gold)
             assert bad.size == 0, (
                 f"serve engine {engine!r} diverges from unpadded gold "

@@ -14,7 +14,8 @@ import pytest
 
 from repro.serve import (AlignmentService, EngineFailedError,
                          QueueFullError, ServiceStoppedError)
-from repro.serve.engine_pool import ENGINES
+from repro.engines import ENGINES
+from repro.serve.engine_pool import resolve_engine
 from repro.serve.errors import DeadlineExceededError
 from repro.swa.scoring import DEFAULT_SCHEME, ScoringScheme
 from repro.swa.sequential import sw_max_score
@@ -54,11 +55,9 @@ class TestScoring:
             assert f2.result(timeout=30).score == \
                 sw_max_score(q, s, heavy)
 
-    @pytest.mark.parametrize("engine", ["numpy", "gpusim"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_alternate_engines(self, rng, engine):
-        word_bits = 32 if engine == "gpusim" else 64
-        with AlignmentService(engine=engine, max_wait_ms=1,
-                              word_bits=word_bits) as svc:
+        with AlignmentService(engine=engine, max_wait_ms=1) as svc:
             pairs = [random_pair(rng, 8, 10) for _ in range(5)]
             futures = [svc.submit(q, s) for q, s in pairs]
             for (q, s), fut in zip(pairs, futures):
@@ -194,7 +193,7 @@ class TestFailureModes:
 
         def slow(batch, word_bits):
             release.wait(timeout=60)
-            return ENGINES["numpy"](batch, word_bits)
+            return resolve_engine("numpy")(batch, word_bits)
 
         svc = AlignmentService(engine=slow, workers=1, max_queue=1,
                                max_batch=1, max_wait_ms=0,

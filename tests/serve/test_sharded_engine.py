@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.serve import AlignmentService
-from repro.serve.engine_pool import ENGINES, EnginePool, ShardedEngine
+from repro.serve.engine_pool import (EnginePool, ShardedEngine,
+                                     resolve_engine)
 from repro.serve.packer import pack_requests
 from repro.serve.stats import ServiceStats
 from repro.swa.scoring import ScoringScheme
@@ -29,7 +30,7 @@ class TestShardedEngine:
         try:
             for batch in batches:
                 got = engine(batch, 64)
-                want = ENGINES["bpbc"](batch, 64)
+                want = resolve_engine("bpbc")(batch, 64)
                 np.testing.assert_array_equal(got, want)
         finally:
             engine.close()

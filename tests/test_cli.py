@@ -10,7 +10,7 @@ from repro.core.encoding import decode
 from repro.swa.scoring import ScoringScheme
 from repro.swa.sequential import sw_max_score
 from repro.workloads.dna import plant_homology, MutationModel, random_strand
-from repro.workloads.fasta import FastaRecord, write_fasta
+from repro.index.fasta import FastaRecord, write_fasta
 
 
 @pytest.fixture

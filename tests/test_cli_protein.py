@@ -10,7 +10,7 @@ from repro.core.alphabet import PROTEIN_X
 from repro.core.matrices import BLOSUM50, BLOSUM62
 from repro.core.protein import ProteinScheme, subst_gotoh_max_score
 from repro.index.fasta import FastaError
-from repro.workloads.fasta import FastaRecord, write_fasta
+from repro.index.fasta import FastaRecord, write_fasta
 
 
 def _random_protein(rng, n: int) -> str:

@@ -33,7 +33,8 @@ import pytest
 
 from repro.core.encoding import decode, encode_batch_bit_transposed
 from repro.core.sw_bpbc import bpbc_sw_wavefront
-from repro.serve.engine_pool import ENGINES
+from repro.engines import ENGINES
+from repro.serve.engine_pool import resolve_engine
 from repro.serve.packer import pack_requests
 from repro.serve.queue import AlignmentRequest
 from repro.shard import ShardExecutor
@@ -197,11 +198,12 @@ def test_cell_evaluators_bit_identical(fuzz_groups):
             )
 
 
-def test_serve_bpbc_jit_engine_agrees(fuzz_groups):
-    """The ``bpbc-jit`` serve engine, fed sentinel-padded mixed-shape
-    batches — the compiled evaluator on the 3-plane path, exactly as
+@pytest.mark.parametrize("engine_name", list(ENGINES))
+def test_serve_engines_agree(fuzz_groups, engine_name):
+    """Every engine of the table as the serve pool runs it, fed
+    sentinel-padded mixed-shape batches — the 3-plane path, exactly as
     the alignment service drives it."""
-    engine = ENGINES["bpbc-jit"]
+    engine = resolve_engine(engine_name)
     for scheme in SCHEMES:
         groups = [g for g in fuzz_groups if g.scheme == scheme]
         requests, gold_of = [], {}
@@ -218,7 +220,7 @@ def test_serve_bpbc_jit_engine_agrees(fuzz_groups):
             want = np.asarray([gold_of[id(r)] for r in batch.requests])
             bad = np.flatnonzero(scores != want)
             assert bad.size == 0, (
-                f"serve engine bpbc-jit disagrees with gold on "
+                f"serve engine {engine_name!r} disagrees with gold on "
                 f"{bad.size} of {batch.pairs} pairs "
                 f"(padded={batch.padded}, scheme={scheme}, "
                 f"seed={SEED}; rerun: REPRO_FUZZ_SEED={SEED}); "

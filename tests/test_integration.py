@@ -12,7 +12,7 @@ from repro.kernels.pipeline import run_gpu_pipeline
 from repro.swa.scoring import ScoringScheme
 from repro.swa.sequential import sw_max_score
 from repro.workloads.dna import MutationModel, homologous_pairs
-from repro.workloads.fasta import FastaRecord, read_fasta, write_fasta
+from repro.index.fasta import FastaRecord, read_fasta, write_fasta
 
 SCHEME = ScoringScheme(2, 1, 1)
 

@@ -44,7 +44,8 @@ from repro.core.matrices import (BLOSUM50, BLOSUM62, PAM250,
 from repro.core.protein import (ProteinScheme, subst_gotoh_batch_max_scores,
                                 subst_gotoh_max_score)
 from repro.core.sw_bpbc import bpbc_sw_wavefront_planes
-from repro.serve.engine_pool import ENGINES
+from repro.engines import ENGINES
+from repro.serve.engine_pool import resolve_engine
 from repro.serve.packer import pack_requests
 from repro.serve.queue import AlignmentRequest
 
@@ -264,11 +265,11 @@ def test_gpusim_pipeline_agrees(fuzz_groups):
                      np.concatenate([scores[:take], g.gold[take:]]))
 
 
-@pytest.mark.parametrize("engine_name", ["numpy", "bpbc-jit"])
+@pytest.mark.parametrize("engine_name", list(ENGINES))
 def test_serve_engines_agree(fuzz_groups, engine_name):
     """Serve engines, fed sentinel-padded mixed-shape protein batches
     exactly as the alignment service packs them."""
-    engine = ENGINES[engine_name]
+    engine = resolve_engine(engine_name)
     for scheme in SCHEMES:
         groups = [g for g in fuzz_groups if g.scheme == scheme][:5]
         requests, gold_of = [], {}
